@@ -39,7 +39,7 @@ void Counters::merge(const Counters& other) noexcept {
   snapshot_units += other.snapshot_units;
   restores += other.restores;
   freeze_ticks += other.freeze_ticks;
-  error_broadcasts += other.error_broadcasts;
+  direct_detections += other.direct_detections;
   rejoins += other.rejoins;
   store_entries_logged += other.store_entries_logged;
   store_entries_lost += other.store_entries_lost;

@@ -63,7 +63,8 @@ struct Counters {
   std::int64_t freeze_ticks = 0;
 
   // Failure handling.
-  std::uint64_t error_broadcasts = 0;
+  // First-hand detections; each joins its tick's coalesced verdict flush.
+  std::uint64_t direct_detections = 0;
   std::uint64_t rejoins = 0;  // times this node revived (crash-recovery)
 
   // Durable store + warm-rejoin state transfer (store/ subsystem).

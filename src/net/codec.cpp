@@ -1,6 +1,8 @@
 #include "net/codec.h"
 
+#include <algorithm>
 #include <cassert>
+#include <functional>
 #include <utility>
 #include <variant>
 
@@ -215,6 +217,46 @@ TaskPacket get_packet(Reader& r) {
   return p;
 }
 
+// Processor-id sets (an error verdict's accused set, a state chunk's dead
+// set) ship sorted, so the run delta-encodes to small positive steps;
+// svarint deltas keep the encoding total over unsorted input too.
+template <typename Ids>
+void put_proc_run(Writer& w, const Ids& ids) {
+  w.varint(ids.size());
+  std::int64_t prev = 0;
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    if (i == 0) {
+      w.varint(ids[0]);
+    } else {
+      w.svarint(static_cast<std::int64_t>(ids[i]) - prev);
+    }
+    prev = static_cast<std::int64_t>(ids[i]);
+  }
+}
+
+// Appends to `out`. Each id costs at least one byte, so a count beyond the
+// remaining bytes is an overrun; capacity grows with the ids actually read,
+// never from the count.
+template <typename Ids>
+void get_proc_run(Reader& r, Ids& out, const char* what) {
+  const std::uint64_t count = r.varint();
+  if (count > r.remaining()) {
+    throw CodecError(std::string("codec: ") + what + " overruns");
+  }
+  std::int64_t prev = 0;
+  for (std::uint64_t i = 0; i < count; ++i) {
+    const std::int64_t p =
+        i == 0 ? static_cast<std::int64_t>(r.varint())
+               : static_cast<std::int64_t>(wrap_add(
+                     static_cast<std::uint64_t>(prev), r.svarint()));
+    if (p < 0 || p > UINT32_MAX) {
+      throw CodecError(std::string("codec: ") + what + " proc out of range");
+    }
+    out.push_back(static_cast<ProcId>(p));
+    prev = p;
+  }
+}
+
 // ---- payload encoders (exhaustive over the closed variant) -----------------
 
 struct PayloadEncoder {
@@ -242,7 +284,7 @@ struct PayloadEncoder {
     w.u8(m.relayed ? 1 : 0);
   }
   void operator()(const ErrorMsg& m) const {
-    w.varint(m.dead);
+    put_proc_run(w, m.accused);
     w.varint(m.reporter);
   }
   void operator()(const HeartbeatMsg& m) const { w.varint(m.sequence); }
@@ -271,18 +313,7 @@ struct PayloadEncoder {
     w.u8(m.last ? 1 : 0);
     w.varint(m.packets.size());
     for (const TaskPacket& p : m.packets) put_packet(w, p);
-    // The dead set ships sorted (the streamer sorts for determinism), so
-    // deltas are small positives; svarint tolerates unsorted input too.
-    w.varint(m.known_dead.size());
-    std::int64_t prev = 0;
-    for (std::size_t i = 0; i < m.known_dead.size(); ++i) {
-      if (i == 0) {
-        w.varint(m.known_dead[0]);
-      } else {
-        w.svarint(static_cast<std::int64_t>(m.known_dead[i]) - prev);
-      }
-      prev = static_cast<std::int64_t>(m.known_dead[i]);
-    }
+    put_proc_run(w, m.known_dead);  // the streamer sorts it for determinism
   }
   void operator()(const EnvelopeBox& box) const {
     // Recursive: a delivery-failure notice carries the lost envelope.
@@ -349,7 +380,12 @@ Payload decode_payload(MsgKind kind, Reader& r) {
     }
     case MsgKind::kErrorDetection: {
       ErrorMsg m;
-      m.dead = get_proc(r);
+      get_proc_run(r, m.accused, "accused set");
+      // Canonical form: strictly ascending (sorted, no duplicates).
+      if (std::adjacent_find(m.accused.begin(), m.accused.end(),
+                             std::greater_equal<>()) != m.accused.end()) {
+        throw CodecError("codec: accused set not ascending");
+      }
       m.reporter = get_proc(r);
       return m;
     }
@@ -406,21 +442,7 @@ Payload decode_payload(MsgKind kind, Reader& r) {
       for (std::uint64_t i = 0; i < packets; ++i) {
         m.packets.push_back(get_packet(r));
       }
-      const std::uint64_t dead = r.varint();
-      if (dead > r.remaining()) throw CodecError("codec: dead set overruns");
-      m.known_dead.reserve(dead);
-      std::int64_t prev = 0;
-      for (std::uint64_t i = 0; i < dead; ++i) {
-        const std::int64_t p =
-            i == 0 ? static_cast<std::int64_t>(r.varint())
-                   : static_cast<std::int64_t>(wrap_add(
-                         static_cast<std::uint64_t>(prev), r.svarint()));
-        if (p < 0 || p > UINT32_MAX) {
-          throw CodecError("codec: dead proc out of range");
-        }
-        m.known_dead.push_back(static_cast<ProcId>(p));
-        prev = p;
-      }
+      get_proc_run(r, m.known_dead, "dead set");
       return m;
     }
     case MsgKind::kDeliveryFailure: {

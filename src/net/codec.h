@@ -121,6 +121,12 @@ void encode_envelope(const Envelope& env, std::vector<std::uint8_t>& out);
 /// Byte width of the frame length prefix (u32 little-endian).
 inline constexpr std::size_t kFrameHeaderBytes = 4;
 
+/// Largest body a byte-stream reader accepts. Real frames are far smaller
+/// (a state chunk carries at most store.chunk_records packets); a header
+/// above this is corrupt or hostile, and buffering toward it would let one
+/// peer grow a reader's memory to 4 GiB.
+inline constexpr std::uint32_t kMaxFrameBody = 16U << 20;  // 16 MiB
+
 /// Append a framed encoding: [u32 LE body length][body]. Returns the body
 /// length in bytes.
 std::size_t encode_frame(const Envelope& env, std::vector<std::uint8_t>& out);

@@ -237,30 +237,54 @@ class TcpTransport final : public Transport {
   std::size_t drain(Inbound& in) {
     std::size_t delivered = 0;
     std::uint8_t chunk[16384];
-    for (;;) {
+    while (in.fd >= 0) {
       const ssize_t r = ::recv(in.fd, chunk, sizeof(chunk), 0);
       if (r > 0) {
         in.buf.insert(in.buf.end(), chunk, chunk + r);
+        // Parse as bytes arrive, so a bogus length header is refused
+        // before the peer can stream anything toward it.
+        delivered += deliver_frames(in);
         continue;
       }
       if (r < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
       if (r < 0 && errno == EINTR) continue;
-      // EOF or hard error: peer is gone (fail-silent); keep buffered
-      // complete frames, drop the link.
+      // EOF or hard error: peer is gone (fail-silent); complete frames were
+      // already delivered, drop the link.
       ::close(in.fd);
       in.fd = -1;
-      break;
     }
+    return delivered;
+  }
+
+  /// Deliver every complete frame buffered on `in`. A hostile frame closes
+  /// the link exactly as a crashed peer would: nothing after it is read.
+  std::size_t deliver_frames(Inbound& in) {
+    std::size_t delivered = 0;
     std::size_t off = 0;
     std::uint32_t body = 0;
     while (codec::read_frame_header(in.buf.data() + off, in.buf.size() - off,
-                                    &body) &&
-           in.buf.size() - off - codec::kFrameHeaderBytes >= body) {
+                                    &body)) {
+      if (body > codec::kMaxFrameBody) {
+        reject(in, "frame length " + std::to_string(body) + " over the cap");
+        return delivered;
+      }
+      if (in.buf.size() - off - codec::kFrameHeaderBytes < body) break;
       off += codec::kFrameHeaderBytes;
       const std::uint64_t t0 = now_ns();
-      Envelope env = codec::decode_envelope(in.buf.data() + off, body);
+      Envelope env;
+      try {
+        env = codec::decode_envelope(in.buf.data() + off, body);
+      } catch (const codec::CodecError& e) {
+        reject(in, e.what());
+        return delivered;
+      }
       wire_.decode_ns += now_ns() - t0;
       off += body;
+      if (env.to != self_ || env.from >= peers_.size()) {
+        reject(in, "envelope addressed " + std::to_string(env.from) + "->" +
+                       std::to_string(env.to));
+        return delivered;
+      }
       deliver_(std::move(env));
       ++delivered;
     }
@@ -269,6 +293,14 @@ class TcpTransport final : public Transport {
                    in.buf.begin() + static_cast<std::ptrdiff_t>(off));
     }
     return delivered;
+  }
+
+  void reject(Inbound& in, const std::string& why) {
+    SPLICE_WARN() << "tcp: rank " << self_ << " closes link from rank "
+                  << in.rank << ": " << why;
+    ::close(in.fd);
+    in.fd = -1;  // poll() drops the link and its buffer
+    ++wire_.links_rejected;
   }
 
   sim::Simulator& sim_;

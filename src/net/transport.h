@@ -52,6 +52,10 @@ struct WireStats {
   std::uint64_t encode_ns = 0;
   std::uint64_t decode_ns = 0;
   std::uint64_t ring_spills = 0;    // frames that overflowed a full ring
+  /// Inbound links closed as fail-silent peers for a hostile frame: a
+  /// length header over codec::kMaxFrameBody, a body the codec rejects, or
+  /// an envelope addressed to another rank.
+  std::uint64_t links_rejected = 0;
 };
 
 class Transport {

@@ -120,9 +120,14 @@ void Processor::on_payload(Envelope&, ErrorMsg&& msg) {
   // A broadcast that raced a repair is stale: the accused node already
   // revived (and announced it), so don't re-mark it dead. Across OS
   // processes there is no liveness oracle to consult — trust the reporter;
-  // a rejoin notice from the repaired node clears the verdict later.
-  if (rt_.network().distributed() || !rt_.network().alive(msg.dead)) {
-    learn_dead(msg.dead, /*direct_detection=*/false);
+  // a rejoin notice from the repaired node clears the verdict later. An id
+  // past the machine's size names no processor; a hostile or corrupt
+  // frame is the only source, so it is ignored.
+  for (const net::ProcId dead : msg.accused) {
+    if (dead >= rt_.network().size()) continue;
+    if (rt_.network().distributed() || !rt_.network().alive(dead)) {
+      learn_dead(dead, /*direct_detection=*/false);
+    }
   }
 }
 
@@ -130,7 +135,9 @@ void Processor::on_payload(Envelope&, HeartbeatMsg&&) {
   // Receipt alone proves liveness; detection watches for *absence*.
 }
 
-void Processor::on_payload(Envelope&, RejoinMsg&& msg) { learn_alive(msg.who); }
+void Processor::on_payload(Envelope&, RejoinMsg&& msg) {
+  if (msg.who < rt_.network().size()) learn_alive(msg.who);
+}
 
 void Processor::on_payload(Envelope&, LoadMsg&&) {
   // Load gossip feeds the scheduler via Runtime, not the protocol loop.
@@ -147,6 +154,7 @@ void Processor::on_payload(Envelope&, CancelMsg&& msg) {
 }
 
 void Processor::on_payload(Envelope&, store::StateRequestMsg&& msg) {
+  if (msg.who >= rt_.network().size()) return;
   handle_state_request(std::move(msg));
 }
 
@@ -749,23 +757,32 @@ void Processor::handle_delivery_failure(Envelope original) {
         note_transfer_peer_done(dead);
       }
       break;
+    case MsgKind::kErrorDetection:
+      // A verdict is only worth retrying to a peer still believed alive: a
+      // bounce from the far side of a cut (or from a crashed node) has just
+      // taught this detector that the addressee is dead, and re-sending
+      // every 2×failure_timeout until a heal only bounces again.
+      if (!rt_.network().distributed() && rt_.network().alive(dead) &&
+          !knows_dead(dead)) {
+        retransmit_after_backoff(std::move(original));
+      }
+      break;
     case MsgKind::kSpawnAck:
     case MsgKind::kFetchData:
     case MsgKind::kDataReply:
-    case MsgKind::kErrorDetection:
     case MsgKind::kCheckpointXfer:
     case MsgKind::kRejoinNotice:
     case MsgKind::kStateChunk:
     case MsgKind::kCancel:
     case MsgKind::kControl:
       // Protocol messages with no payload-level reissue path: nobody
-      // regenerates a lost ack, error broadcast, data reply, state chunk,
-      // or cancel, so a loss on a lossy/gray link would quietly break
-      // liveness (a waiting parent, an unhonoured reissue obligation, a
-      // duplicate computing to run end). Retry after a backoff while the
-      // destination stays alive — each retry is another independent draw,
-      // so delivery is eventually certain; receivers are idempotent (stale
-      // broadcasts, chunks, and cancels are guarded at the handler).
+      // regenerates a lost ack, data reply, state chunk, or cancel, so a
+      // loss on a lossy/gray link would quietly break liveness (a waiting
+      // parent, an unhonoured reissue obligation, a duplicate computing to
+      // run end). Retry after a backoff while the destination stays alive —
+      // each retry is another independent draw, so delivery is eventually
+      // certain; receivers are idempotent (stale chunks and cancels are
+      // guarded at the handler).
       // In-process backends only: across OS processes the bounce means the
       // peer really went down, and a retry would just bounce again.
       if (!rt_.network().distributed() && rt_.network().alive(dead)) {
@@ -801,6 +818,7 @@ void Processor::retransmit_after_backoff(Envelope env) {
         if (is_cancel) note_cancel_backoff(cancel_stamp, -1);
         if (dead_ || life != incarnation_ || rt_.done()) return;
         if (!rt_.network().alive(dest)) return;  // addressee died meanwhile
+        if (env.kind == MsgKind::kErrorDetection && knows_dead(dest)) return;
         if (is_cancel) {
           ++counters_.cancel_retries;
         } else {
@@ -843,20 +861,65 @@ void Processor::learn_dead(net::ProcId dead, bool direct_detection) {
   rt_.note_detection(dead, id_);
   if (direct_detection) {
     // First-hand detector: broadcast error-detection so every processor can
-    // honour its reissue obligations.
-    ++counters_.error_broadcasts;
-    for (net::ProcId p = 0; p < rt_.network().size(); ++p) {
-      if (p == id_ || p == dead || !rt_.network().alive(p)) continue;
-      Envelope env;
-      env.kind = MsgKind::kErrorDetection;
-      env.from = id_;
-      env.to = p;
-      env.size_units = 1;
-      env.payload = ErrorMsg{dead, id_};
-      rt_.network().send(std::move(env));
+    // honour its reissue obligations. Detections made in one tick (a cut
+    // bounces many sends at once) share one verdict per addressee: the
+    // first queues a zero-delay flush on this node's own simulator (its
+    // shard, on the parallel engine), later ones ride along.
+    ++counters_.direct_detections;
+    accused_pending_.push_back(dead);
+    if (accused_pending_.size() == 1) {
+      rt_.sim().after(sim::SimTime(0), [this, life = incarnation_] {
+        if (life == incarnation_) flush_verdicts();
+      });
     }
   }
   rt_.policy().on_error_detected(*this, dead);
+}
+
+void Processor::flush_verdicts() {
+  ErrorMsg verdict;
+  std::sort(accused_pending_.begin(), accused_pending_.end());
+  // A peer learned alive and dead again within the tick is queued twice; one
+  // learned alive again since it was queued is no longer accused.
+  const auto last =
+      std::unique(accused_pending_.begin(), accused_pending_.end());
+  for (auto it = accused_pending_.begin(); it != last; ++it) {
+    if (knows_dead(*it)) verdict.accused.push_back(*it);
+  }
+  accused_pending_.clear();
+  if (verdict.accused.empty() || rt_.done()) return;
+  verdict.reporter = id_;
+  // Addressed to every live peer this node does not already believe dead:
+  // a believed-dead peer is crashed (the verdict is lost) or across a cut
+  // (it bounces), and either way the sender learns nothing new from it.
+  for (net::ProcId p = 0; p < rt_.network().size(); ++p) {
+    if (p == id_ || !rt_.network().alive(p) || knows_dead(p)) continue;
+    send_verdict(p, verdict);
+  }
+}
+
+void Processor::retell_verdicts(net::ProcId peer) {
+  if (dead_ || rt_.done()) return;
+  // Verdicts addressed while `peer` was believed dead were skipped or
+  // dropped after their bounce; the deaths that still hold are owed to it.
+  ErrorMsg verdict;
+  for (const net::ProcId dead : known_dead_) {
+    if (!rt_.network().alive(dead)) verdict.accused.push_back(dead);
+  }
+  if (verdict.accused.empty()) return;
+  std::sort(verdict.accused.begin(), verdict.accused.end());
+  verdict.reporter = id_;
+  send_verdict(peer, verdict);
+}
+
+void Processor::send_verdict(net::ProcId to, const ErrorMsg& verdict) {
+  Envelope env;
+  env.kind = MsgKind::kErrorDetection;
+  env.from = id_;
+  env.to = to;
+  env.size_units = verdict.size_units();
+  env.payload = verdict;
+  rt_.network().send(std::move(env));
 }
 
 void Processor::respawn_slot(Task& owner, CallSlot& slot, bool as_twin,
@@ -1125,6 +1188,7 @@ void Processor::nuke() {
   executing_ = false;
   warm_rejoined_ = false;
   awaiting_transfer_.clear();
+  accused_pending_.clear();   // the flush event sees the incarnation bump
   streamer_.cancel_all();     // abandon any catch-up streams this node fed
   store_.on_crash(incarnation_);  // the persistency model decides survival
   ++incarnation_;  // orphan this life's pending heartbeat chain

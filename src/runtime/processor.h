@@ -90,6 +90,11 @@ class Processor {
   /// Record that `back` rejoined: forget it was dead so sends, relays and
   /// heartbeats toward it resume.
   void learn_alive(net::ProcId back);
+  /// Tell `peer`, once believed dead and now known alive, of every death
+  /// this node believes in that still holds: the partition-heal half of
+  /// verdict dissemination, since verdicts are neither addressed nor
+  /// retried to a peer believed dead.
+  void retell_verdicts(net::ProcId peer);
   [[nodiscard]] bool knows_dead(net::ProcId p) const {
     return known_dead_.contains(p);
   }
@@ -285,6 +290,10 @@ class Processor {
   void handle_result(ResultMsg msg);
   void handle_ack(AckMsg msg);
   void handle_delivery_failure(net::Envelope original);
+  /// Send the verdicts queued by this tick's direct detections: one
+  /// kErrorDetection per live peer not believed dead, carrying them all.
+  void flush_verdicts();
+  void send_verdict(net::ProcId to, const ErrorMsg& verdict);
   /// Re-send a bounced protocol message after a backoff while its
   /// destination stays alive — the liveness net for lossy/gray links, for
   /// message kinds that have no payload-level reissue path of their own.
@@ -310,6 +319,9 @@ class Processor {
   bool frozen_ = false;
   bool dead_ = false;
   std::unordered_set<net::ProcId> known_dead_;
+  /// Direct detections awaiting this tick's verdict flush (non-empty iff a
+  /// flush event is scheduled for the current incarnation).
+  std::vector<net::ProcId> accused_pending_;
   checkpoint::CheckpointTable table_;
   store::DurableStore store_;
   store::StateStreamer streamer_;

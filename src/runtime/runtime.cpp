@@ -390,12 +390,15 @@ void Runtime::on_partition_heal(const std::vector<net::ProcId>& side) {
       if (!procs_[p]->knows_dead(q)) continue;
       suspected = true;
       if (engine_ != nullptr) {
-        // learn_alive sends a state request from p — p's shard runs it.
+        // learn_alive and retell_verdicts send from p — p's shard runs them.
         engine_->post_shard(p, [this, p, q] {
-          if (!procs_[p]->crashed()) procs_[p]->learn_alive(q);
+          if (procs_[p]->crashed()) return;
+          procs_[p]->learn_alive(q);
+          procs_[p]->retell_verdicts(q);
         });
       } else {
         procs_[p]->learn_alive(q);
+        procs_[p]->retell_verdicts(q);
       }
     }
     if (suspected && q < detection_noted_.size()) {

@@ -157,10 +157,17 @@ struct CancelMsg {
   [[nodiscard]] std::uint32_t size_units() const noexcept { return 1; }
 };
 
-/// kErrorDetection payload: "processor `dead` is faulty".
+/// kErrorDetection payload: "every processor in `accused` is faulty". A
+/// detector coalesces the direct detections it makes in one tick into one
+/// verdict per addressee, so the list is sorted ascending and duplicate-free.
 struct ErrorMsg {
-  net::ProcId dead = net::kNoProc;
+  util::SmallVec<net::ProcId, 4> accused;
   net::ProcId reporter = net::kNoProc;
+
+  /// One unit per accused id, the way a state chunk charges its dead set.
+  [[nodiscard]] std::uint32_t size_units() const noexcept {
+    return static_cast<std::uint32_t>(accused.size());
+  }
 };
 
 /// kHeartbeat payload (probe; liveness is inferred from delivery failures).

@@ -154,8 +154,15 @@ net::Payload fuzz_payload(MsgKind kind, Rng& rng, int box_depth) {
       return m;
     }
     case MsgKind::kErrorDetection: {
+      // 0..12 accused ids, strictly ascending (the canonical form): past
+      // the inline 4, with gaps wide enough for multi-byte deltas.
       runtime::ErrorMsg m;
-      m.dead = static_cast<net::ProcId>(pick(rng, 256));
+      const std::size_t accused = pick(rng, 13);
+      std::uint64_t id = pick(rng, 300);
+      for (std::size_t i = 0; i < accused; ++i) {
+        m.accused.push_back(static_cast<net::ProcId>(id));
+        id += 1 + pick(rng, pick(rng, 2) == 0 ? 4 : 400);
+      }
       m.reporter = static_cast<net::ProcId>(pick(rng, 256));
       return m;
     }
@@ -316,6 +323,32 @@ TEST(CodecRoundtrip, FieldFidelitySpotChecks) {
     EXPECT_EQ(n.uid, m.uid);
     EXPECT_EQ(n.parent, m.parent);
     EXPECT_EQ(n.issued_at, m.issued_at);
+  }
+}
+
+TEST(CodecRoundtrip, AccusedSetFidelityAndCanonicalOrder) {
+  Envelope env;
+  env.kind = MsgKind::kErrorDetection;
+  runtime::ErrorMsg verdict;
+  verdict.accused = {3, 4, 9, 200, 70000};
+  verdict.reporter = 12;
+  env.payload = verdict;
+  const auto bytes = net::codec::encode_envelope(env);
+  const Envelope back = net::codec::decode_envelope(bytes.data(), bytes.size());
+  const auto& m = std::get<runtime::ErrorMsg>(back.payload);
+  EXPECT_EQ(m.accused, verdict.accused);
+  EXPECT_EQ(m.reporter, verdict.reporter);
+
+  // Off the canonical surface: a descending or repeated id must not decode.
+  for (const util::SmallVec<net::ProcId, 4>& bad :
+       {util::SmallVec<net::ProcId, 4>{5, 2},
+        util::SmallVec<net::ProcId, 4>{7, 7}}) {
+    runtime::ErrorMsg unsorted;
+    unsorted.accused = bad;
+    env.payload = unsorted;
+    const auto raw = net::codec::encode_envelope(env);
+    EXPECT_THROW(net::codec::decode_envelope(raw.data(), raw.size()),
+                 CodecError);
   }
 }
 

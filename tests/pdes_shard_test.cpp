@@ -33,11 +33,8 @@ struct EngineRun {
 };
 
 EngineRun run_sharded(std::uint32_t shards, const lang::Program& program,
-                      std::uint64_t seed, const net::FaultPlan& plan,
-                      core::SchedulerKind scheduler = core::SchedulerKind::kRandom,
+                      core::SystemConfig cfg, const net::FaultPlan& plan,
                       bool recorder = true) {
-  core::SystemConfig cfg = testing::base_config(8, seed);
-  cfg.scheduler.kind = scheduler;
   cfg.parallel.shards = shards;
   if (recorder) {
     cfg.obs.recorder = true;
@@ -54,6 +51,15 @@ EngineRun run_sharded(std::uint32_t shards, const lang::Program& program,
     run.journal = obs::serialize(sim.recorder().snapshot());
   }
   return run;
+}
+
+EngineRun run_sharded(std::uint32_t shards, const lang::Program& program,
+                      std::uint64_t seed, const net::FaultPlan& plan,
+                      core::SchedulerKind scheduler = core::SchedulerKind::kRandom,
+                      bool recorder = true) {
+  core::SystemConfig cfg = testing::base_config(8, seed);
+  cfg.scheduler.kind = scheduler;
+  return run_sharded(shards, program, cfg, plan, recorder);
 }
 
 /// Bit-identical across shard counts: every observable must match.
@@ -104,17 +110,25 @@ void expect_identical(const EngineRun& a, const EngineRun& b) {
   EXPECT_EQ(a.journal, b.journal);
 }
 
+void expect_shard_invariant(const lang::Program& program,
+                            const core::SystemConfig& cfg,
+                            const net::FaultPlan& plan) {
+  const EngineRun oracle = run_sharded(1, program, cfg, plan);
+  for (const std::uint32_t shards : {2u, 4u, 8u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards) +
+                 " seed=" + std::to_string(cfg.seed));
+    const EngineRun run = run_sharded(shards, program, cfg, plan);
+    expect_identical(oracle, run);
+  }
+}
+
 void expect_shard_invariant(const lang::Program& program, std::uint64_t seed,
                             const net::FaultPlan& plan,
                             core::SchedulerKind scheduler =
                                 core::SchedulerKind::kRandom) {
-  const EngineRun oracle = run_sharded(1, program, seed, plan, scheduler);
-  for (const std::uint32_t shards : {2u, 4u, 8u}) {
-    SCOPED_TRACE("shards=" + std::to_string(shards) +
-                 " seed=" + std::to_string(seed));
-    const EngineRun run = run_sharded(shards, program, seed, plan, scheduler);
-    expect_identical(oracle, run);
-  }
+  core::SystemConfig cfg = testing::base_config(8, seed);
+  cfg.scheduler.kind = scheduler;
+  expect_shard_invariant(program, cfg, plan);
 }
 
 TEST(PdesShard, FaultFreeBitIdentical) {
@@ -159,6 +173,30 @@ TEST(PdesShard, PartitionWithHealBitIdentical) {
       core::parse_fault_plan("partition:rect(0,0,1x2)@2500,heal=4000");
   for (const std::uint64_t seed : {1u, 9u}) {
     expect_shard_invariant(lang::programs::nqueens(5), seed, plan);
+  }
+}
+
+TEST(PdesShard, MeshPartitionVerdictFlushBitIdentical) {
+  // A 2x2 cut in an 8x8 mesh: each bounce off the cut is a direct
+  // detection, and a detector's same-tick detections share one verdict
+  // flush scheduled on its own shard. The flush must land at the same
+  // point of every processor's history for any shard count. With a crash
+  // far from the cut while it stands, the heal also retells that death
+  // across the cut from each outside node's shard.
+  core::SystemConfig cfg = testing::base_config(64, 12345);
+  cfg.heartbeat_interval = 800;
+  cfg.store.model = store::Persistency::kLocal;
+  const lang::Program program = lang::programs::fib(14, 40);
+  for (const char* spec : {"partition:rect(3,3,2x2)@1200,heal=1500",
+                           "partition:rect(3,3,2x2)@1200,heal=1500;"
+                           "kill:5@1250"}) {
+    SCOPED_TRACE(spec);
+    const net::FaultPlan plan = core::parse_fault_plan(spec);
+    expect_shard_invariant(program, cfg, plan);
+    const EngineRun run = run_sharded(4, program, cfg, plan);
+    EXPECT_TRUE(run.result.completed && run.result.answer_correct)
+        << run.result.summary();
+    EXPECT_GT(run.result.net.partition_cut, 0U);
   }
 }
 
